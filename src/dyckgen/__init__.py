@@ -17,7 +17,6 @@ from .analysis import (
 from .bits import (
     MAX_HALF_LENGTH,
     DyckWord,
-    alternating_constant,
     enumerate_words,
     is_dyck,
     max_value,
@@ -26,7 +25,6 @@ from .bits import (
     min_word,
     next_unchecked,
     next_word,
-    word_width,
 )
 from .oracle import brute_force_all, brute_force_next
 from .paths import RIGHT, UP, LatticePath, from_path, render_grid, to_path
@@ -35,6 +33,7 @@ from .strings import (
     PARENS,
     DyckString,
     SymbolPair,
+    first_violation,
     is_dyck_text,
     next_in_place,
     next_string,
@@ -54,12 +53,12 @@ __all__ = [
     "LatticePath",
     "PrefixCounts",
     "SymbolPair",
-    "alternating_constant",
     "brute_force_all",
     "brute_force_next",
     "catalan",
     "decompose",
     "enumerate_words",
+    "first_violation",
     "from_path",
     "is_dyck",
     "is_dyck_text",
@@ -75,5 +74,4 @@ __all__ = [
     "render_grid",
     "successor_from_decomposition",
     "to_path",
-    "word_width",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .bits import DyckWord
-from .strings import DyckString
+from .strings import BITS, DyckString
 
 __all__ = [
     "Decomposition",
@@ -36,11 +36,8 @@ def _window(w: Word) -> str:
     if isinstance(w, DyckWord):
         return w.bits
     if isinstance(w, DyckString):
-        mapping = {w.symbols.one: "1", w.symbols.zero: "0"}
-        return "".join(mapping[ch] for ch in w.text)
-    if set(w) - {"0", "1"}:
-        raise ValueError(f"plain-string words must be over '1'/'0': {w!r}")
-    return w
+        return w.symbols.decode(w.text)
+    return BITS.decode(w)
 
 
 def prefix_counts(w: Word, i: int) -> PrefixCounts:

@@ -1,11 +1,12 @@
-"""Dyck words as fixed-width unsigned integers with a loopless successor.
+"""Dyck words as nonnegative integers with a loopless successor.
 
-A word of half-length n occupies the low 2n bits of an unsigned value,
-most significant bit of the window first, so lexicographic order on
-words coincides with numeric order on values. The successor is five
+A word of half-length n occupies the low 2n bits of a value, most
+significant bit of the window first, so lexicographic order on words
+coincides with numeric order on values. The successor is five
 straight-line integer statements, the first two borrowed from Gosper's
-hack; minimum and maximum words are built by shifting, never by raising
-4 to the n, so nothing overflows a 2n-bit window.
+hack, masked by one 64-bit alternating literal that covers every window
+up to n = 32; minimum and maximum words are built by shifting, never by
+raising 4 to the n, so nothing overflows a 2n-bit window.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
+from .strings import first_violation
+
 __all__ = [
     "MAX_HALF_LENGTH",
-    "WIDTHS",
     "DyckWord",
-    "alternating_constant",
     "check_half_length",
     "enumerate_words",
     "is_dyck",
@@ -28,32 +29,10 @@ __all__ = [
     "min_word",
     "next_unchecked",
     "next_word",
-    "word_width",
 ]
 
-WIDTHS = (8, 16, 32, 64)
 MAX_HALF_LENGTH = 32
 ENUMERATION_WARN_N = 20  # Catalan(21) is ~24.5e9 words, a week of CPU
-
-
-def alternating_constant(width: int) -> int:
-    """The alternating-bits mask 0xAA...AA truncated to ``width`` bits.
-
-    Doubles up the 0xAA byte instead of writing one hard-coded literal:
-    the same pattern serves every supported width, and it doubles as the
-    minimum full-width Dyck word.
-    """
-    if width not in WIDTHS:
-        raise ValueError(f"width must be one of {WIDTHS}, got {width}")
-    value = 0xAA
-    size = 8
-    while size < width:
-        value |= value << size
-        size *= 2
-    return value
-
-
-_ALTERNATING = {w: alternating_constant(w) for w in WIDTHS}
 
 
 def check_half_length(n: int) -> None:
@@ -62,32 +41,22 @@ def check_half_length(n: int) -> None:
         raise ValueError(f"half-length must be in 1..{MAX_HALF_LENGTH}, got {n}")
 
 
-def word_width(n: int) -> int:
-    """Smallest supported machine width whose words hold a 2n-bit window."""
-    check_half_length(n)
-    for width in WIDTHS:
-        if 2 * n <= width:
-            return width
-    raise AssertionError("unreachable: check_half_length caps 2n at 64")
-
-
-def next_unchecked(w: int, width: int = 64) -> int:
+def next_unchecked(w: int) -> int:
     """Next Dyck word of the same size, assuming one exists.
 
     The input must be a valid Dyck word that is not the maximum of its
     size; anything else is garbage in, garbage out (no checks at this
-    layer, matching the C contract where the negation is 2**width-modular;
-    Python's ``w & -w`` isolates the lowest set bit directly). The five
-    statements: isolate the lowest set bit, ripple-add it, diff to locate
-    the changed run, shrink the run into a 2x-bit mask, then refill the
-    tail from the alternating constant. The shift is a logical shift,
-    equivalent to truncating division by four.
+    layer). The five statements: isolate the lowest set bit, ripple-add
+    it, diff to locate the changed run, shrink the run into a 2x-bit mask,
+    then refill the tail from the alternating literal. The mask has 2x < 2n
+    low ones, so its 64 bits cover every n up to 32. The shift is a
+    logical shift, equivalent to truncating division by four.
     """
     a = w & -w
     b = w + a
     c = w ^ b
     c = ((c // a) >> 2) + 1
-    return ((c * c - 1) & _ALTERNATING[width]) | b
+    return ((c * c - 1) & 0xAAAAAAAAAAAAAAAA) | b
 
 
 def is_dyck(value: int, n: int) -> bool:
@@ -96,16 +65,9 @@ def is_dyck(value: int, n: int) -> bool:
     Total function: out-of-range n, negative values, or set bits above
     the window all return False rather than raising.
     """
-    if not 1 <= n <= MAX_HALF_LENGTH:
+    if not 1 <= n <= MAX_HALF_LENGTH or value < 0 or value >> (2 * n):
         return False
-    if value < 0 or value >> (2 * n):
-        return False
-    balance = 0
-    for pos in range(2 * n - 1, -1, -1):
-        balance += 1 if (value >> pos) & 1 else -1
-        if balance < 0:
-            return False
-    return balance == 0
+    return first_violation(format(value, f"0{2 * n}b")) is None
 
 
 def min_value(n: int) -> int:
@@ -148,10 +110,9 @@ class DyckWord:
     @classmethod
     def from_bits(cls, text: str) -> DyckWord:
         """Parse an explicit window of '1'/'0' characters, e.g. '101100'."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit window: {text!r}")
-        if len(text) % 2:
-            raise ValueError(f"bit window must have even length, got {len(text)}")
+        problem = first_violation(text) if text else "empty window"
+        if problem is not None:
+            raise ValueError(f"not a Dyck bit window {text!r}: {problem}")
         return cls(int(text, 2), len(text) // 2)
 
     @classmethod
@@ -168,11 +129,6 @@ class DyckWord:
     def bits(self) -> str:
         """The 2n-character window as text, MSB first."""
         return format(self.value, f"0{2 * self.n}b")
-
-    @property
-    def width(self) -> int:
-        """Smallest supported machine width holding this word."""
-        return word_width(self.n)
 
     def __str__(self) -> str:
         return self.bits
@@ -192,7 +148,7 @@ def next_word(w: DyckWord) -> DyckWord | None:
     """Checked successor: None when w is the maximum word of its size."""
     if w.value == max_value(w.n):
         return None
-    return DyckWord._trusted(next_unchecked(w.value, w.width), w.n)
+    return DyckWord._trusted(next_unchecked(w.value), w.n)
 
 
 def enumerate_words(n: int) -> Iterator[DyckWord]:
@@ -214,11 +170,10 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
 
 
 def _generate(n: int) -> Iterator[DyckWord]:
-    width = word_width(n)
     make = DyckWord._trusted
     value = min_value(n)
     last = max_value(n)
     while value != last:
         yield make(value, n)
-        value = next_unchecked(value, width)
+        value = next_unchecked(value)
     yield make(value, n)

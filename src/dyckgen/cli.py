@@ -13,16 +13,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .analysis import catalan
-from .bits import (
-    MAX_HALF_LENGTH,
-    enumerate_words,
-    max_value,
-    next_unchecked,
-    word_width,
-)
+from .bits import MAX_HALF_LENGTH, enumerate_words, max_value, next_unchecked
 from .oracle import brute_force_all
 from .paths import MAX_RENDER_N, render_grid
-from .strings import BITS, PARENS, SymbolPair
+from .strings import BITS, PARENS, SymbolPair, first_violation
 
 MAX_COUNT_N = 34  # documented cap so scripted callers fit results in 64 bits
 
@@ -64,11 +58,7 @@ def format_value(value: int, n: int, fmt: WordFormat) -> str:
     if fmt.kind == "int":
         return str(value)
     window = format(value, f"0{2 * n}b")
-    if fmt.symbols == BITS:
-        return window
-    return window.translate(
-        {ord("1"): fmt.symbols.one, ord("0"): fmt.symbols.zero}
-    )
+    return window if fmt.symbols is BITS else fmt.symbols.encode(window)
 
 
 class WordParseError(ValueError):
@@ -79,52 +69,26 @@ def parse_window(text: str, fmt: WordFormat) -> str:
     """Turn input text into an explicit '1'/'0' window.
 
     Raises WordParseError when the text is not well formed under the
-    format. The window may still fail validation (odd length, prefix
-    violations); that is the caller's concern.
+    format: a foreign symbol, or for ``int`` anything but ASCII digits.
+    The window may still fail validation (odd length, prefix violations);
+    that is the caller's concern.
     """
     if not text:
         raise WordParseError("empty word")
-    if fmt.kind == "int":
-        if not text.isdigit():
-            raise WordParseError(f"not an unsigned decimal integer: {text!r}")
+    if fmt.kind != "int":
+        try:
+            return fmt.symbols.decode(text)
+        except ValueError as exc:
+            raise WordParseError(str(exc)) from None
+    if not (text.isascii() and text.isdigit()):
+        raise WordParseError(f"not an unsigned decimal integer: {text!r}")
+    try:
         value = int(text)
-        # Minimal window: a valid word always has its top window bit set,
-        # so any leading-zero reading would fail validation anyway.
-        return format(value, "b") if value else "0"
-    one, zero = fmt.symbols.one, fmt.symbols.zero
-    window = []
-    for ch in text:
-        if ch == one:
-            window.append("1")
-        elif ch == zero:
-            window.append("0")
-        else:
-            raise WordParseError(
-                f"character {ch!r} is neither {one!r} nor {zero!r}"
-            )
-    return "".join(window)
-
-
-def diagnose_window(window: str) -> str | None:
-    """None when the window encodes a Dyck word, else a diagnostic.
-
-    Prefix violations are reported at the first offending position,
-    1-based from the most significant end.
-    """
-    if len(window) % 2:
-        return f"odd length {len(window)}"
-    ones = 0
-    zeros = 0
-    for position, ch in enumerate(window, start=1):
-        if ch == "1":
-            ones += 1
-        else:
-            zeros += 1
-        if zeros > ones:
-            return f"prefix violation at position {position}"
-    if ones != zeros:
-        return f"unbalanced word: {ones} ones, {zeros} zeros"
-    return None
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise WordParseError(f"integer too long: {len(text)} digits") from None
+    # Minimal window: a valid word always has its top window bit set,
+    # so any leading-zero reading would fail validation anyway.
+    return format(value, "b") if value else "0"
 
 
 def _fail(message: str, code: int) -> int:
@@ -150,7 +114,7 @@ def cmd_next(args: argparse.Namespace) -> int:
         window = parse_window(args.word, args.format)
     except WordParseError as exc:
         return _fail(str(exc), 2)
-    diagnostic = diagnose_window(window)
+    diagnostic = first_violation(window)
     if diagnostic is not None:
         return _fail(diagnostic, 2)
     n = len(window) // 2
@@ -159,8 +123,7 @@ def cmd_next(args: argparse.Namespace) -> int:
     value = int(window, 2)
     if value == max_value(n):
         return 1  # maximal word: nothing to print, like the string clear
-    successor = next_unchecked(value, word_width(n))
-    print(format_value(successor, n, args.format))
+    print(format_value(next_unchecked(value), n, args.format))
     return 0
 
 
@@ -173,23 +136,17 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        window = parse_window(args.word, args.format)
+        diagnostic = first_violation(parse_window(args.word, args.format))
     except WordParseError as exc:
         return _fail(str(exc), 2)
-    diagnostic = diagnose_window(window)
-    if diagnostic is not None:
-        return _fail(diagnostic, 1)
-    return 0
+    return 0 if diagnostic is None else _fail(diagnostic, 1)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= MAX_RENDER_N:
         return _fail(f"--n must be in 1..{MAX_RENDER_N} for rendering", 2)
-    try:
-        with open(args.output, "wb") as sink:
-            render_grid(args.n, sink)
-    except OSError as exc:
-        return _fail(f"cannot write {args.output}: {exc}", 3)
+    with open(args.output, "wb") as sink:
+        render_grid(args.n, sink)
     print(catalan(args.n), file=sys.stderr)
     return 0
 
@@ -268,10 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the stream; not an error.
         return 0
+    except OSError as exc:  # a full disk, an unwritable -o path, ...
+        return _fail(f"cannot write {getattr(args, 'output', 'stdout')}: {exc}", 3)
 
 
 if __name__ == "__main__":

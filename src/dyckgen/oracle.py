@@ -14,7 +14,7 @@ MAX_BRUTE_FORCE_N = 12  # 2**(2n) candidates; ~16.7M checks at the cap
 
 def _satisfies_definition(value: int, n: int) -> bool:
     # Direct per-position count of ones vs zeros, most significant bit
-    # first. Intentionally not the balance walk used by bits.is_dyck.
+    # first. Intentionally not the scan in strings.first_violation.
     width = 2 * n
     if value < 0 or value >> width:
         return False

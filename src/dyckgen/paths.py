@@ -14,6 +14,7 @@ from typing import BinaryIO
 
 from .analysis import catalan
 from .bits import DyckWord, check_half_length, enumerate_words
+from .strings import SymbolPair, first_violation
 
 __all__ = [
     "MAX_RENDER_N",
@@ -27,6 +28,7 @@ __all__ = [
 
 RIGHT = "R"
 UP = "U"
+MOVES = SymbolPair(RIGHT, UP)  # a one moves right, a zero moves up
 
 MAX_RENDER_N = 8  # Catalan(8) = 1430 tiles; past that the sheet is useless
 
@@ -48,21 +50,9 @@ class LatticePath:
                 f"expected {2 * self.n} moves for an {self.n}x{self.n} grid, "
                 f"got {len(self.moves)}"
             )
-        rights = 0
-        ups = 0
-        for move in self.moves:
-            if move == RIGHT:
-                rights += 1
-            elif move == UP:
-                ups += 1
-            else:
-                raise ValueError(f"moves must be {RIGHT!r} or {UP!r}, got {move!r}")
-            if ups > rights:
-                raise ValueError("path rises above the diagonal")
-        if rights != self.n:
-            raise ValueError(
-                f"expected {self.n} rightward moves, got {rights}"
-            )
+        problem = first_violation(self.moves, MOVES)
+        if problem is not None:
+            raise ValueError(f"not a path below the diagonal: {problem}")
 
     def vertices(self) -> list[tuple[int, int]]:
         """The 2n + 1 lattice points visited, starting at (0, 0)."""
@@ -80,14 +70,12 @@ class LatticePath:
 
 def to_path(w: DyckWord) -> LatticePath:
     """Map a word onto its grid path: one goes right, zero goes up."""
-    moves = tuple(RIGHT if bit == "1" else UP for bit in w.bits)
-    return LatticePath(moves=moves, n=w.n)
+    return LatticePath(moves=tuple(MOVES.encode(w.bits)), n=w.n)
 
 
 def from_path(p: LatticePath) -> DyckWord:
     """Inverse of to_path: rightward moves become ones."""
-    window = "".join("1" if move == RIGHT else "0" for move in p.moves)
-    return DyckWord(int(window, 2), p.n)
+    return DyckWord(int(MOVES.decode("".join(p.moves)), 2), p.n)
 
 
 def render_grid(n: int, sink: BinaryIO) -> None:

@@ -1,9 +1,11 @@
-"""In-place successor on Dyck words kept as mutable symbol sequences.
+"""Dyck words as symbol sequences: validator, symbol codec, successor.
 
 Works over any two distinct single-character symbols, for example '(' and
-')'. One backward scan finds the rewrite point, one forward pass rewrites
-to the end, so a call touches each position at most twice and allocates
-no auxiliary sequence.
+')'. ``first_violation`` is the package's one prefix-balance scan; a
+``SymbolPair`` encodes '1'/'0' windows into its symbols and decodes them
+back. One backward scan finds the rewrite point, one forward pass
+rewrites to the end, so a call touches each position at most twice and
+allocates no auxiliary sequence.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "PARENS",
     "DyckString",
     "SymbolPair",
+    "first_violation",
     "is_dyck_text",
     "next_in_place",
     "next_string",
@@ -35,26 +38,58 @@ class SymbolPair:
         if self.one == self.zero:
             raise ValueError("symbols must be distinct")
 
+    def encode(self, window: str) -> str:
+        """A '1'/'0' window written in these symbols."""
+        return window.translate({ord("1"): self.one, ord("0"): self.zero})
+
+    def decode(self, text: str) -> str:
+        """Text in these symbols read back as a '1'/'0' window.
+
+        Raises ValueError naming the first character that is neither symbol.
+        """
+        foreign = text.translate({ord(self.one): None, ord(self.zero): None})
+        if foreign:
+            raise ValueError(_foreign(foreign[0], self))
+        return text.translate({ord(self.one): "1", ord(self.zero): "0"})
+
+
+def _foreign(ch: str, symbols: SymbolPair) -> str:
+    return f"character {ch!r} is neither {symbols.one!r} nor {symbols.zero!r}"
+
 
 BITS = SymbolPair("1", "0")
 PARENS = SymbolPair("(", ")")
 
 
-def is_dyck_text(text, symbols: SymbolPair = BITS) -> bool:
-    """Prefix-count check over a character sequence; '' counts as valid."""
+def first_violation(text, symbols: SymbolPair = BITS) -> str | None:
+    """None when text is a Dyck word over symbols, else the first fault.
+
+    Odd length is reported first; then one left-to-right pass stops at the
+    first foreign symbol or the first prefix with more zeros than ones
+    (1-based position); unequal totals are reported last. text may be any
+    sequence of characters, and '' counts as valid.
+    """
     if len(text) % 2:
-        return False
-    balance = 0
+        return f"odd length {len(text)}"
+    one, zero = symbols.one, symbols.zero
+    ones = zeros = 0
     for ch in text:
-        if ch == symbols.one:
-            balance += 1
-        elif ch == symbols.zero:
-            balance -= 1
+        if ch == one:
+            ones += 1
+        elif ch != zero:
+            return _foreign(ch, symbols)
+        elif zeros < ones:
+            zeros += 1
         else:
-            return False
-        if balance < 0:
-            return False
-    return balance == 0
+            return f"prefix violation at position {ones + zeros + 1}"
+    if ones != zeros:
+        return f"unbalanced word: {ones} ones, {zeros} zeros"
+    return None
+
+
+def is_dyck_text(text, symbols: SymbolPair = BITS) -> bool:
+    """True iff text is a Dyck word over symbols; '' counts as valid."""
+    return first_violation(text, symbols) is None
 
 
 def next_in_place(w: MutableSequence[str], symbols: SymbolPair = BITS) -> None:

@@ -1,3 +1,4 @@
+import random
 import warnings
 from itertools import islice
 
@@ -8,9 +9,7 @@ from hypothesis import strategies as st
 from dyckgen.analysis import catalan, decompose
 from dyckgen.bits import (
     MAX_HALF_LENGTH,
-    WIDTHS,
     DyckWord,
-    alternating_constant,
     enumerate_words,
     is_dyck,
     max_value,
@@ -19,28 +18,8 @@ from dyckgen.bits import (
     min_word,
     next_unchecked,
     next_word,
-    word_width,
 )
-
-
-def test_alternating_constants():
-    assert alternating_constant(8) == 0xAA
-    assert alternating_constant(16) == 0xAAAA
-    assert alternating_constant(32) == 0xAAAAAAAA
-    assert alternating_constant(64) == 0xAAAAAAAAAAAAAAAA
-    with pytest.raises(ValueError):
-        alternating_constant(24)
-
-
-def test_word_width_boundaries():
-    assert word_width(1) == 8
-    assert word_width(4) == 8
-    assert word_width(5) == 16
-    assert word_width(8) == 16
-    assert word_width(9) == 32
-    assert word_width(16) == 32
-    assert word_width(17) == 64
-    assert word_width(32) == 64
+from dyckgen.strings import next_string
 
 
 # min/max extremes, including the full-width edge at n = 32.
@@ -96,11 +75,50 @@ def test_next_unchecked_frozen_examples(value, expected):
     assert next_unchecked(value) == expected
 
 
-def test_next_unchecked_width_agreement(oracle_words):
-    # Every width whose window fits gives the same successor.
-    for value in oracle_words(4)[:-1]:
-        results = {next_unchecked(value, w) for w in WIDTHS}
-        assert len(results) == 1
+def random_word(rng: random.Random, n: int) -> str:
+    """A Dyck window of half-length n built by a random walk that never
+    drops below the diagonal."""
+    bits = []
+    ones = zeros = 0
+    while zeros < n:
+        if ones < n and (zeros == ones or rng.random() < 0.5):
+            bits.append("1")
+            ones += 1
+        else:
+            bits.append("0")
+            zeros += 1
+    return "".join(bits)
+
+
+def assert_agrees_with_string_walk(window: str) -> str:
+    expected = next_string(window)
+    assert expected is not None
+    n = len(window) // 2
+    assert format(next_unchecked(int(window, 2)), f"0{2 * n}b") == expected
+    return expected
+
+
+def test_literal_mask_covers_full_width_rewrites():
+    # At n = 32 these successors rewrite all 64 bits below the leading
+    # one, so the single 64-bit literal must hold every bit of the tail.
+    n = MAX_HALF_LENGTH
+    assert_agrees_with_string_walk("10" + "1" * (n - 1) + "0" * (n - 1))
+    assert_agrees_with_string_walk("110" + "1" * (n - 2) + "0" * (n - 1))
+    assert_agrees_with_string_walk("10" * n)
+
+
+def test_next_unchecked_matches_string_walk_at_n32():
+    # A seeded walk of 10,000 successor steps, restarting from a random
+    # word every 100 steps so that wide and narrow rewrites both occur.
+    rng = random.Random(20160220)
+    n = MAX_HALF_LENGTH
+    last = format(max_value(n), f"0{2 * n}b")
+    for _ in range(100):
+        window = random_word(rng, n)
+        for _ in range(100):
+            if window == last:
+                break
+            window = assert_agrees_with_string_walk(window)
 
 
 def test_next_word_examples():
@@ -190,7 +208,6 @@ def test_dyck_word_validation():
     assert word.value == 184 and word.n == 4
     assert word.bits == "10111000"
     assert str(word) == "10111000"
-    assert word.width == 8
     with pytest.raises(ValueError):
         DyckWord.from_bits("10x0")
     with pytest.raises(ValueError):

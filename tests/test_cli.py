@@ -1,4 +1,11 @@
+import errno
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyckgen.cli import main
 from dyckgen.oracle import brute_force_all
@@ -118,6 +125,24 @@ def test_validate_int_format(capsys):
     assert run_cli(["validate", "-4", "--format", "int"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("command", ["next", "validate"])
+@pytest.mark.parametrize(
+    "word",
+    [
+        "\u00b2",  # superscript two: isdigit() holds, int() refuses it
+        "\u0661\u0662",  # Arabic-Indic 12, a valid word if read as digits
+        "\u0967\u096d\u0966",  # Devanagari 170
+        "\uff11\uff17\uff10",  # full-width 170
+        "1" * 5000,  # more digits than int() converts by default
+    ],
+    ids=["superscript", "arabic-indic", "devanagari", "full-width", "5000-digits"],
+)
+def test_int_format_takes_ascii_digits_only(command, word, capsys):
+    code, out, err = run_cli([command, word, "--format", "int"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_render_writes_svg(tmp_path, capsys):
     target = tmp_path / "grid.svg"
     code, out, err = run_cli(["render", "--n", "4", "-o", str(target)], capsys)
@@ -138,6 +163,25 @@ def test_render_io_failure(tmp_path, capsys):
     code, _, err = run_cli(["render", "--n", "2", "-o", str(target)], capsys)
     assert code == 3
     assert err != ""
+
+
+class FullDisk:
+    """A text stream on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_output_io_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    code = main(["enum", "--n", "3"])
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "No space left" in err
 
 
 def test_oracle_subcommand_matches_brute_force(capsys):
@@ -178,3 +222,46 @@ def test_enum_then_next_round_trip(capsys):
             code, out, _ = run_cli(["next", current], capsys)
             assert (code, out.strip()) == (0, expected)
         assert run_cli(["next", words[-1]], capsys)[:2] == (1, "")
+
+
+FORMATS = ["bits", "parens", "int", "custom:ab"]
+
+
+def exit_code(argv) -> int:
+    """main's exit code with its output discarded; anything raised fails."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse reports its own errors this way
+            return exc.code
+
+
+# Any text, plus text made of digits from every script, which --format int
+# must refuse unless every digit is ASCII.
+WORDS = st.text() | st.text(st.characters(whitelist_categories=("Nd", "No")))
+
+
+@given(
+    command=st.sampled_from(["next", "validate"]),
+    word=WORDS,
+    fmt=st.sampled_from(FORMATS),
+)
+def test_word_commands_end_with_a_contract_code(command, word, fmt):
+    # Whatever the word, the CLI ends with a documented exit code and
+    # never raises; --format int refuses anything but ASCII digits. A
+    # word starting with '-' is argparse's to read, and '-h' asks for help.
+    code = exit_code([command, word, "--format", fmt])
+    assert code in (0, 1, 2)
+    ascii_digits = word.isascii() and word.isdigit()
+    if fmt == "int" and not word.startswith("-") and not ascii_digits:
+        assert code == 2
+
+
+@given(word=st.text(alphabet="01", max_size=16))
+def test_validate_agrees_with_the_oracle(oracle_words, word):
+    code = exit_code(["validate", word])
+    if not word:
+        assert code == 2
+    else:
+        valid = len(word) % 2 == 0 and int(word, 2) in oracle_words(len(word) // 2)
+        assert code == (0 if valid else 1)

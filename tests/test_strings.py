@@ -11,6 +11,7 @@ from dyckgen.strings import (
     PARENS,
     DyckString,
     SymbolPair,
+    first_violation,
     is_dyck_text,
     next_in_place,
     next_string,
@@ -85,6 +86,50 @@ def test_is_dyck_text():
     assert not is_dyck_text("110")
     assert not is_dyck_text("10a0")
     assert is_dyck_text("abab", SymbolPair("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("10111000", None),
+        ("", None),
+        ("10x0", "character 'x' is neither '1' nor '0'"),
+        ("101", "odd length 3"),
+        ("1001", "prefix violation at position 3"),
+        ("0110", "prefix violation at position 1"),
+        ("1011", "unbalanced word: 3 ones, 1 zeros"),
+    ],
+)
+def test_first_violation_diagnostics(text, expected):
+    assert first_violation(text) == expected
+
+
+def test_first_violation_reports_the_first_fault_in_scan_order():
+    assert first_violation("1001x0") == "prefix violation at position 3"
+    assert first_violation("1x01") == "character 'x' is neither '1' nor '0'"
+    assert first_violation("x10") == "odd length 3"  # length is checked first
+
+
+def test_first_violation_agrees_with_the_oracle(oracle_words):
+    # Every window of up to 8 bits, read as bits and relabeled as a/b.
+    ab = SymbolPair("a", "b")
+    for length in range(1, 9):
+        valid = set(oracle_words(length // 2)) if length % 2 == 0 else set()
+        for value in range(1 << length):
+            window = format(value, f"0{length}b")
+            expected = value in valid
+            assert (first_violation(window) is None) == expected
+            assert (first_violation(ab.encode(window), ab) is None) == expected
+
+
+def test_symbol_codec_round_trip():
+    assert PARENS.encode("110100") == "(()())"
+    assert PARENS.decode("(()())") == "110100"
+    swapped = SymbolPair("0", "1")
+    assert swapped.encode("1100") == "0011"
+    assert swapped.decode("0011") == "1100"
+    with pytest.raises(ValueError, match="character '1' is neither 'a' nor 'b'"):
+        SymbolPair("a", "b").decode("ab1b")
 
 
 def test_dyck_string_type():
