@@ -1,9 +1,10 @@
 """Ordered generation of Dyck words with a loopless bitwise successor.
 
-The integer core advances a word in five branch-free statements; a
-string counterpart does the same rewrite in place over any two-symbol
-alphabet. Around them: prefix-count analysis, exact Catalan counting, a
-brute-force oracle, lattice-path rendering and a small CLI.
+The integer core advances a word in three branch-free statements (the
+paper's five, with the division and the square replaced by a table
+lookup); a string counterpart does the same rewrite in place over any
+two-symbol alphabet. Around them: prefix-count analysis, exact Catalan
+counting, a brute-force oracle, lattice-path rendering and a small CLI.
 """
 
 from .analysis import (
@@ -11,6 +12,7 @@ from .analysis import (
     PrefixCounts,
     catalan,
     decompose,
+    paper_next,
     prefix_counts,
     successor_from_decomposition,
 )
@@ -25,6 +27,7 @@ from .bits import (
     min_word,
     next_unchecked,
     next_word,
+    walk_values,
 )
 from .oracle import brute_force_all, brute_force_next
 from .paths import RIGHT, UP, LatticePath, from_path, render_grid, to_path
@@ -70,8 +73,10 @@ __all__ = [
     "next_string",
     "next_unchecked",
     "next_word",
+    "paper_next",
     "prefix_counts",
     "render_grid",
     "successor_from_decomposition",
     "to_path",
+    "walk_values",
 ]

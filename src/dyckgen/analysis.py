@@ -2,8 +2,9 @@
 
 Prefix counts, the decomposition of a non-maximum word around its last
 zero-one boundary, a template successor rebuilt from that decomposition,
-and exact Catalan counting. These are the slow-but-obvious counterparts
-used to cross-check the bit algorithm.
+the paper's five-statement successor, and exact Catalan counting. These
+are the slow-but-obvious counterparts used to cross-check the bit
+algorithm.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "PrefixCounts",
     "catalan",
     "decompose",
+    "paper_next",
     "prefix_counts",
     "successor_from_decomposition",
 ]
@@ -94,6 +96,23 @@ def successor_from_decomposition(w: DyckWord, d: Decomposition) -> DyckWord:
     window = w.bits
     rebuilt = window[: d.k - 1] + "10" + "0" * (d.y - d.x) + "10" * d.x
     return DyckWord(int(rebuilt, 2), w.n)
+
+
+def paper_next(w: int) -> int:
+    """The paper's successor, statement for statement: the reference form.
+
+    Isolate the lowest set bit, ripple-add it, diff to locate the changed
+    run, shrink the run into a 2x-bit mask, then refill the tail from the
+    alternating literal. The shift is a logical shift, equivalent to
+    truncating division by four. Same contract as ``bits.next_unchecked``,
+    which computes the same value without the division and the square;
+    w == 0 raises ZeroDivisionError here.
+    """
+    a = w & -w
+    b = w + a
+    c = w ^ b
+    c = ((c // a) >> 2) + 1
+    return ((c * c - 1) & 0xAAAAAAAAAAAAAAAA) | b
 
 
 def catalan(n: int) -> int:

@@ -2,22 +2,27 @@
 
 A word of half-length n occupies the low 2n bits of a value, most
 significant bit of the window first, so lexicographic order on words
-coincides with numeric order on values. The successor is five
-straight-line integer statements, the first two borrowed from Gosper's
-hack, masked by one 64-bit alternating literal that covers every window
-up to n = 32; minimum and maximum words are built by shifting, never by
-raising 4 to the n, so nothing overflows a 2n-bit window.
+coincides with numeric order on values. The successor is three
+straight-line integer statements: the first two are Gosper's (isolate
+the lowest set bit, ripple-add it), the third refills the rewritten tail
+from a 66-entry table of alternating 64-bit masks indexed by a popcount,
+with no division and no multiplication. The paper's five statements stay
+in ``analysis.paper_next`` as the reference. Minimum and maximum words
+are built by shifting, never by raising 4 to the n, so nothing overflows
+a 2n-bit window.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from .strings import first_violation
 
 __all__ = [
+    "ENUMERATION_WARN_N",
     "MAX_HALF_LENGTH",
     "DyckWord",
     "check_half_length",
@@ -29,10 +34,11 @@ __all__ = [
     "min_word",
     "next_unchecked",
     "next_word",
+    "walk_values",
 ]
 
 MAX_HALF_LENGTH = 32
-ENUMERATION_WARN_N = 20  # Catalan(21) is ~24.5e9 words, a week of CPU
+ENUMERATION_WARN_N = 20  # Catalan(21) is ~24.5e9 words, hours of CPU
 
 
 def check_half_length(n: int) -> None:
@@ -41,22 +47,31 @@ def check_half_length(n: int) -> None:
         raise ValueError(f"half-length must be in 1..{MAX_HALF_LENGTH}, got {n}")
 
 
+# _TAIL[k]: the tail refilled behind a rewrite whose changed run has k
+# bits, 2k - 4 low bits of the alternating literal. In the paper's form the
+# run c = w ^ (w + a) holds k = popcount(c) ones starting at bit a, so
+# c // a is 2**k - 1 and (((c // a) >> 2) + 1)**2 - 1 is 2**(2k - 4) - 1;
+# k < 2 gives the empty mask there too. k runs to 65 for w below 2**64.
+_TAIL = tuple(
+    ((1 << max(0, 2 * k - 4)) - 1) & 0xAAAAAAAAAAAAAAAA for k in range(66)
+)
+
+
 def next_unchecked(w: int) -> int:
     """Next Dyck word of the same size, assuming one exists.
 
     The input must be a valid Dyck word that is not the maximum of its
     size; anything else is garbage in, garbage out (no checks at this
-    layer). The five statements: isolate the lowest set bit, ripple-add
-    it, diff to locate the changed run, shrink the run into a 2x-bit mask,
-    then refill the tail from the alternating literal. The mask has 2x < 2n
-    low ones, so its 64 bits cover every n up to 32. The shift is a
-    logical shift, equivalent to truncating division by four.
+    layer). The three statements: isolate the lowest set bit, ripple-add
+    it, then refill the tail below the new leading bit from a table of
+    alternating masks indexed by the length of the changed run. For every
+    nonzero w below 2**64 the result equals the paper's five statements
+    (``analysis.paper_next``), valid word or not; w == 0 returns 0 here,
+    where the paper's form raises ZeroDivisionError.
     """
     a = w & -w
     b = w + a
-    c = w ^ b
-    c = ((c // a) >> 2) + 1
-    return ((c * c - 1) & 0xAAAAAAAAAAAAAAAA) | b
+    return _TAIL[(w ^ b).bit_count()] | b
 
 
 def is_dyck(value: int, n: int) -> bool:
@@ -109,20 +124,26 @@ class DyckWord:
 
     @classmethod
     def from_bits(cls, text: str) -> DyckWord:
-        """Parse an explicit window of '1'/'0' characters, e.g. '101100'."""
+        """Parse an explicit window of '1'/'0' characters, e.g. '101100'.
+
+        One scan: a window that passes ``first_violation`` and fits n <= 32
+        is a Dyck word, so it is not validated again.
+        """
         problem = first_violation(text) if text else "empty window"
         if problem is not None:
             raise ValueError(f"not a Dyck bit window {text!r}: {problem}")
-        return cls(int(text, 2), len(text) // 2)
+        n = len(text) // 2
+        check_half_length(n)
+        return cls._trusted(int(text, 2), n)
 
     @classmethod
     def _trusted(cls, value: int, n: int) -> DyckWord:
-        # Fast path for words produced by the successor itself: skips the
-        # O(n) revalidation. Safe because the successor of a valid word is
-        # valid, which the oracle tests check exhaustively at small n.
-        word = object.__new__(cls)
-        object.__setattr__(word, "value", value)
-        object.__setattr__(word, "n", n)
+        # Fast path for words already known to be valid, such as those the
+        # successor produces: skips the O(n) revalidation and the frozen
+        # __setattr__ by writing the two slots through their descriptors.
+        word = _new(cls)
+        _set_value(word, value)
+        _set_n(word, n)
         return word
 
     @property
@@ -132,6 +153,11 @@ class DyckWord:
 
     def __str__(self) -> str:
         return self.bits
+
+
+_new = object.__new__
+_set_value = DyckWord.value.__set__
+_set_n = DyckWord.n.__set__
 
 
 def min_word(n: int) -> DyckWord:
@@ -155,8 +181,9 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
     """All Dyck words of half-length n in strictly increasing order.
 
     Starts at min_word(n), ends at max_word(n), and yields exactly
-    Catalan(n) words. Large sizes are permitted but warned about; a full
-    pass above n = 20 is impractical rather than wrong.
+    Catalan(n) words: the values of ``walk_values(n)``, each wrapped in a
+    ``DyckWord``. Large sizes are permitted but warned about; a full pass
+    above n = 20 is impractical rather than wrong.
     """
     check_half_length(n)
     if n > ENUMERATION_WARN_N:
@@ -166,14 +193,24 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
             RuntimeWarning,
             stacklevel=2,
         )
-    return _generate(n)
+    return map(DyckWord._trusted, walk_values(n), repeat(n))
 
 
-def _generate(n: int) -> Iterator[DyckWord]:
-    make = DyckWord._trusted
-    value = min_value(n)
-    last = max_value(n)
+def walk_values(n: int) -> Iterator[int]:
+    """The values of all Dyck words of half-length n, in increasing order.
+
+    The allocation-light core of enumeration: plain ints, with the three
+    statements of ``next_unchecked`` inlined. Raises ValueError at once
+    for n outside 1..32; never warns.
+    """
+    return _walk(min_value(n), max_value(n))
+
+
+def _walk(value: int, last: int) -> Iterator[int]:
+    tail = _TAIL
     while value != last:
-        yield make(value, n)
-        value = next_unchecked(value)
-    yield make(value, n)
+        yield value
+        a = value & -value
+        b = value + a
+        value = tail[(value ^ b).bit_count()] | b
+    yield value

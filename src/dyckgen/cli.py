@@ -11,14 +11,22 @@ import argparse
 import sys
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable
 
 from .analysis import catalan
-from .bits import MAX_HALF_LENGTH, enumerate_words, max_value, next_unchecked
+from .bits import (
+    ENUMERATION_WARN_N,
+    MAX_HALF_LENGTH,
+    max_value,
+    next_unchecked,
+    walk_values,
+)
 from .oracle import brute_force_all
 from .paths import MAX_RENDER_N, render_grid
 from .strings import BITS, PARENS, SymbolPair, first_violation
 
 MAX_COUNT_N = 34  # documented cap so scripted callers fit results in 64 bits
+CHUNK_WORDS = 4096  # lines formatted and written per stdout write
 
 PUBLIC_COMMANDS = "{enum,next,count,validate,render}"
 
@@ -53,12 +61,24 @@ def parse_format(spec: str) -> WordFormat:
     raise ValueError(f"unknown format {spec!r}")
 
 
-def format_value(value: int, n: int, fmt: WordFormat) -> str:
-    """Render the 2n-bit window of ``value`` in the requested format."""
+def write_words(values: Iterable[int], fmt: WordFormat) -> None:
+    """Write each value on its own line of stdout in ``fmt``.
+
+    Lines go out CHUNK_WORDS at a time: one ``str.format`` call, one
+    symbol translation and one ``write`` per chunk. The values must be
+    Dyck words; their top window bit is set, so the unpadded binary form
+    already is the full 2n-bit window.
+    """
     if fmt.kind == "int":
-        return str(value)
-    window = format(value, f"0{2 * n}b")
-    return window if fmt.symbols is BITS else fmt.symbols.encode(window)
+        line, encode = "{}\n", None
+    else:
+        line = "{:b}\n"
+        encode = None if fmt.symbols is BITS else fmt.symbols.encode
+    write = sys.stdout.write
+    values = iter(values)
+    while chunk := tuple(islice(values, CHUNK_WORDS)):
+        text = (line * len(chunk)).format(*chunk)
+        write(text if encode is None else encode(text))
 
 
 class WordParseError(ValueError):
@@ -101,11 +121,20 @@ def cmd_enum(args: argparse.Namespace) -> int:
         return _fail(f"--n must be in 1..{MAX_HALF_LENGTH}, got {args.n}", 2)
     if args.limit is not None and args.limit < 0:
         return _fail(f"--limit must be nonnegative, got {args.limit}", 2)
-    words = enumerate_words(args.n)
+    if args.n > ENUMERATION_WARN_N:  # below it, no request exceeds the bound
+        words = catalan(args.n)
+        if args.limit is not None:
+            words = min(words, args.limit)
+        if words > catalan(ENUMERATION_WARN_N):
+            print(
+                f"warning: enumerating {words:,} words; "
+                "expect this to run for hours or longer",
+                file=sys.stderr,
+            )
+    values = walk_values(args.n)
     if args.limit is not None:
-        words = islice(words, args.limit)
-    for word in words:
-        print(format_value(word.value, word.n, args.format))
+        values = islice(values, args.limit)
+    write_words(values, args.format)
     return 0
 
 
@@ -123,7 +152,7 @@ def cmd_next(args: argparse.Namespace) -> int:
     value = int(window, 2)
     if value == max_value(n):
         return 1  # maximal word: nothing to print, like the string clear
-    print(format_value(next_unchecked(value), n, args.format))
+    write_words([next_unchecked(value)], args.format)
     return 0
 
 
@@ -157,8 +186,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         values = brute_force_all(args.n)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    for value in values:
-        print(format_value(value, args.n, args.format))
+    write_words(values, args.format)
     return 0
 
 

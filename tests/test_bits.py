@@ -3,10 +3,10 @@ import warnings
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dyckgen.analysis import catalan, decompose
+from dyckgen.analysis import catalan, decompose, paper_next
 from dyckgen.bits import (
     MAX_HALF_LENGTH,
     DyckWord,
@@ -18,6 +18,7 @@ from dyckgen.bits import (
     min_word,
     next_unchecked,
     next_word,
+    walk_values,
 )
 from dyckgen.strings import next_string
 
@@ -121,6 +122,64 @@ def test_next_unchecked_matches_string_walk_at_n32():
             window = assert_agrees_with_string_walk(window)
 
 
+def test_lookup_successor_equals_paper_form_exhaustively():
+    # Every non-maximum word through n = 12, reached by the paper's own
+    # walk: the table lookup replaces the division, the square and the
+    # mask without changing a single result.
+    for n in range(1, 13):
+        value, last, steps = min_value(n), max_value(n), 0
+        while value != last:
+            expected = paper_next(value)
+            assert next_unchecked(value) == expected, (n, value)
+            value, steps = expected, steps + 1
+        assert steps == catalan(n) - 1
+
+
+def test_lookup_successor_equals_paper_form_on_random_walks():
+    # Seeded walks for n = 13..32, restarting every 50 steps, plus the
+    # n = 32 words whose rewrite spans the whole 64-bit literal.
+    rng = random.Random(20160221)
+    n32 = MAX_HALF_LENGTH
+    starts = [
+        "10" + "1" * (n32 - 1) + "0" * (n32 - 1),
+        "110" + "1" * (n32 - 2) + "0" * (n32 - 1),
+        "10" * n32,
+    ]
+    starts += [random_word(rng, n) for n in range(13, 33) for _ in range(20)]
+    for window in starts:
+        value, last = int(window, 2), max_value(len(window) // 2)
+        for _ in range(50):
+            if value == last:
+                break
+            expected = paper_next(value)
+            assert next_unchecked(value) == expected, window
+            value = expected
+
+
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+@example(1)
+@example(2**64 - 1)  # a changed run of 65 bits: the last table entry
+@example(2**63)
+def test_lookup_successor_equals_paper_form_on_any_64_bit_input(w):
+    # Garbage in, the same garbage out: the two forms agree on every
+    # nonzero value below 2**64, Dyck word or not.
+    assert next_unchecked(w) == paper_next(w)
+
+
+def test_successor_of_zero():
+    assert next_unchecked(0) == 0
+    with pytest.raises(ZeroDivisionError):
+        paper_next(0)
+
+
+def test_walk_values_checks_at_the_call_and_never_warns():
+    with pytest.raises(ValueError):
+        walk_values(33)  # refused at the call, before any value is asked for
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert next(walk_values(21)) == min_value(21)  # the int walk never warns
+
+
 def test_next_word_examples():
     assert next_word(DyckWord(170, 4)) == DyckWord(172, 4)
     assert next_word(DyckWord(240, 4)) is None
@@ -214,6 +273,8 @@ def test_dyck_word_validation():
         DyckWord.from_bits("101")
     with pytest.raises(ValueError):
         DyckWord.from_bits("")
+    with pytest.raises(ValueError, match="half-length"):
+        DyckWord.from_bits("10" * 33)  # a Dyck window, but wider than 64 bits
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())

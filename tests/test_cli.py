@@ -2,12 +2,15 @@ import errno
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyckgen.cli import main
+from dyckgen.analysis import catalan
+from dyckgen.bits import ENUMERATION_WARN_N, enumerate_words
+from dyckgen.cli import CHUNK_WORDS, main
 from dyckgen.oracle import brute_force_all
 
 
@@ -225,6 +228,87 @@ def test_enum_then_next_round_trip(capsys):
 
 
 FORMATS = ["bits", "parens", "int", "custom:ab"]
+SYMBOLS = {"bits": "10", "parens": "()", "custom:ab": "ab"}
+
+
+def rendered(n, fmt, limit=None):
+    """enum's expected stdout, built one enumerate_words word at a time."""
+    words = islice(enumerate_words(n), limit)
+    if fmt == "int":
+        return "".join(f"{word.value}\n" for word in words)
+    table = str.maketrans("10", SYMBOLS[fmt])
+    return "".join(word.bits.translate(table) + "\n" for word in words)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_enum_across_chunk_boundaries(fmt, n, limit, capsys):
+    # n = 9 has 4,862 words and n = 10 has 16,796, so these limits land
+    # on, just before and just after the boundaries of 4,096-line writes.
+    argv = ["enum", "--n", str(n), "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == rendered(n, fmt, limit)
+
+
+class Recorder:
+    """A text stream that keeps every write, until its reader goes away."""
+
+    def __init__(self, writes_before_close=None):
+        self.writes = []
+        self.left = writes_before_close
+
+    def write(self, text):
+        if self.left is not None:
+            if self.left == 0:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            self.left -= 1
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def run_into(stream, argv):
+    """main's exit code and stderr, with stdout going to ``stream``."""
+    err = io.StringIO()
+    with redirect_stdout(stream), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_enum_writes_whole_chunks():
+    sink = Recorder()
+    assert run_into(sink, ["enum", "--n", "10"]) == (0, "")
+    lines = [text.count("\n") for text in sink.writes]
+    assert lines == [CHUNK_WORDS] * 4 + [catalan(10) - 4 * CHUNK_WORDS]
+    assert "".join(sink.writes) == rendered(10, "bits")
+
+
+def test_enum_into_a_pipe_closed_after_one_write():
+    sink = Recorder(writes_before_close=1)
+    assert run_into(sink, ["enum", "--n", "10", "--format", "parens"]) == (0, "")
+    assert sink.writes == [rendered(10, "parens", CHUNK_WORDS)]
+
+
+def test_enum_warns_only_for_huge_requests(capsys):
+    code, out, err = run_cli(["enum", "--n", "21", "--limit", "1"], capsys)
+    assert (code, out, err) == (0, "10" * 21 + "\n", "")
+    bound = catalan(ENUMERATION_WARN_N)
+    for limit, warned in ((bound, False), (bound + 1, True), (None, True)):
+        argv = ["enum", "--n", "32"]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code, err = run_into(Recorder(writes_before_close=0), argv)
+        assert code == 0
+        if warned:
+            assert err.startswith("warning: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 def exit_code(argv) -> int:
