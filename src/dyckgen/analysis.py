@@ -10,10 +10,10 @@ algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .bits import DyckWord
-from .strings import BITS, DyckString
+from .strings import BITS
 
 __all__ = [
     "Decomposition",
@@ -25,26 +25,15 @@ __all__ = [
     "successor_from_decomposition",
 ]
 
-Word = Union[DyckWord, DyckString, str]
-
 
 class PrefixCounts(NamedTuple):
     ones: int
     zeros: int
 
 
-def _window(w: Word) -> str:
-    """Normalize a word to its '1'/'0' window, MSB first."""
-    if isinstance(w, DyckWord):
-        return w.bits
-    if isinstance(w, DyckString):
-        return w.symbols.decode(w.text)
-    return BITS.decode(w)
-
-
-def prefix_counts(w: Word, i: int) -> PrefixCounts:
+def prefix_counts(w: DyckWord | str, i: int) -> PrefixCounts:
     """Counts of ones and zeros among positions 1..i (1-based, MSB first)."""
-    window = _window(w)
+    window = w.bits if isinstance(w, DyckWord) else BITS.decode(w)
     if not 1 <= i <= len(window):
         raise ValueError(f"position must be in 1..{len(window)}, got {i}")
     ones = window.count("1", 0, i)

@@ -88,15 +88,12 @@ def is_dyck(value: int, n: int) -> bool:
 def min_value(n: int) -> int:
     """The alternating word 1010...10 on 2n bits, as a raw integer.
 
-    Built by shifting the pattern in two bits at a time; the closed form
-    2/3 * (4**n - 1) is equal but would overflow a fixed-width register
-    at n = 32, so it stays out of the construction.
+    The top 2n bits of the 64-bit alternating literal, shifted down; the
+    closed form 2/3 * (4**n - 1) is equal but would overflow a fixed-width
+    register at n = 32, so it stays out of the construction.
     """
     check_half_length(n)
-    value = 0
-    for _ in range(n):
-        value = (value << 2) | 0b10
-    return value
+    return 0xAAAAAAAAAAAAAAAA >> (64 - 2 * n)
 
 
 def max_value(n: int) -> int:

@@ -2,14 +2,14 @@
 
 Exit codes are part of the contract: 0 success, 1 "no result" (a maximal
 word for ``next``, an invalid word for ``validate``), 2 bad input or bad
-arguments, 3 output I/O failure.
+arguments (symbols stdout cannot encode included), 3 output I/O failure,
+130 interrupted by SIGINT (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
@@ -31,37 +31,31 @@ CHUNK_WORDS = 4096  # lines formatted and written per stdout write
 PUBLIC_COMMANDS = "{enum,next,count,validate,render}"
 
 
-@dataclass(frozen=True)
-class WordFormat:
-    """How words are read and printed.
+def parse_format(spec: str) -> SymbolPair | None:
+    """Parse a --format value: bits | parens | int | custom:<one><zero>.
 
-    kind is one of "bits", "parens", "custom" or "int"; symbol kinds carry
-    the pair of characters standing in for one and zero.
+    A symbol format is its ``SymbolPair``; ``int`` is None. Symbols that
+    break a line are refused, since every word must stay on one line.
     """
-
-    kind: str
-    symbols: SymbolPair | None = None
-
-
-def parse_format(spec: str) -> WordFormat:
-    """Parse a --format value: bits | parens | int | custom:<one><zero>."""
     if spec == "bits":
-        return WordFormat("bits", BITS)
+        return BITS
     if spec == "parens":
-        return WordFormat("parens", PARENS)
+        return PARENS
     if spec == "int":
-        return WordFormat("int")
+        return None
     if spec.startswith("custom:"):
         symbols = spec[len("custom:") :]
         if len(symbols) != 2:
             raise ValueError(
                 f"custom format needs exactly two symbols, got {symbols!r}"
             )
-        return WordFormat("custom", SymbolPair(symbols[0], symbols[1]))
+        if symbols.splitlines() != [symbols]:
+            raise ValueError(f"custom symbols must not break lines: {symbols!r}")
+        return SymbolPair(symbols[0], symbols[1])
     raise ValueError(f"unknown format {spec!r}")
 
 
-def write_words(values: Iterable[int], fmt: WordFormat) -> None:
+def write_words(values: Iterable[int], fmt: SymbolPair | None) -> None:
     """Write each value on its own line of stdout in ``fmt``.
 
     Lines go out CHUNK_WORDS at a time: one ``str.format`` call, one
@@ -69,11 +63,11 @@ def write_words(values: Iterable[int], fmt: WordFormat) -> None:
     Dyck words; their top window bit is set, so the unpadded binary form
     already is the full 2n-bit window.
     """
-    if fmt.kind == "int":
+    if fmt is None:
         line, encode = "{}\n", None
     else:
         line = "{:b}\n"
-        encode = None if fmt.symbols is BITS else fmt.symbols.encode
+        encode = None if fmt is BITS else fmt.encode
     write = sys.stdout.write
     values = iter(values)
     while chunk := tuple(islice(values, CHUNK_WORDS)):
@@ -85,7 +79,7 @@ class WordParseError(ValueError):
     """Input text does not even parse under the requested format."""
 
 
-def parse_window(text: str, fmt: WordFormat) -> str:
+def parse_window(text: str, fmt: SymbolPair | None) -> str:
     """Turn input text into an explicit '1'/'0' window.
 
     Raises WordParseError when the text is not well formed under the
@@ -95,9 +89,9 @@ def parse_window(text: str, fmt: WordFormat) -> str:
     """
     if not text:
         raise WordParseError("empty word")
-    if fmt.kind != "int":
+    if fmt is not None:
         try:
-            return fmt.symbols.decode(text)
+            return fmt.decode(text)
         except ValueError as exc:
             raise WordParseError(str(exc)) from None
     if not (text.isascii() and text.isdigit()):
@@ -252,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    target = getattr(args, "output", "stdout")
     try:
         code = args.handler(args)
         sys.stdout.flush()
@@ -259,8 +254,12 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the stream; not an error.
         return 0
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT, as a shell reports an interrupted job
+    except UnicodeEncodeError as exc:  # symbol stdout cannot encode; first word fails
+        return _fail(f"cannot write {target}: {exc}", 2)
     except OSError as exc:  # a full disk, an unwritable -o path, ...
-        return _fail(f"cannot write {getattr(args, 'output', 'stdout')}: {exc}", 3)
+        return _fail(f"cannot write {target}: {exc}", 3)
 
 
 if __name__ == "__main__":

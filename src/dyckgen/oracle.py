@@ -2,14 +2,19 @@
 
 Everything here is re-derived from the definition alone: a word is Dyck
 iff every prefix holds at least as many ones as zeros and the totals
-match. The scan over all 2**(2n) candidates is deliberately naive and
-shares no code with the fast bit implementation, so it can stand as an
-independent oracle in tests. Do not import the other modules here.
+match. The scans test each candidate against that definition, are
+deliberately naive and share no code with the fast bit implementation,
+so they can stand as an independent oracle in tests. Do not import the
+other modules here.
 """
 
 from __future__ import annotations
 
-MAX_BRUTE_FORCE_N = 12  # 2**(2n) candidates; ~16.7M checks at the cap
+from itertools import combinations
+
+__all__ = ["brute_force_all", "brute_force_next"]
+
+MAX_BRUTE_FORCE_N = 12  # brute_force_next scans up to 2**(2n), ~16.7M at the cap
 
 
 def _satisfies_definition(value: int, n: int) -> bool:
@@ -38,9 +43,17 @@ def _check_n(n: int) -> None:
 
 
 def brute_force_all(n: int) -> list[int]:
-    """All Dyck words of length 2n as integers, ascending, by full scan."""
+    """All Dyck words of length 2n as integers, ascending.
+
+    The candidates are the C(2n, n) values with exactly n ones, one for
+    each choice of the bit positions holding them. Every other 2n-bit
+    value breaks the definition's "the totals match", so leaving it out
+    changes no verdict, and each candidate still passes the full check.
+    """
     _check_n(n)
-    return [v for v in range(1 << (2 * n)) if _satisfies_definition(v, n)]
+    positions = combinations(range(2 * n), n)
+    candidates = (sum(1 << p for p in ones) for ones in positions)
+    return sorted(v for v in candidates if _satisfies_definition(v, n))
 
 
 def brute_force_next(value: int, n: int) -> int | None:

@@ -3,9 +3,11 @@
 Works over any two distinct single-character symbols, for example '(' and
 ')'. ``first_violation`` is the package's one prefix-balance scan; a
 ``SymbolPair`` encodes '1'/'0' windows into its symbols and decodes them
-back. One backward scan finds the rewrite point, one forward pass
-rewrites to the end, so a call touches each position at most twice and
-allocates no auxiliary sequence.
+back. A word here is plain text: ``next_string`` validates and advances
+it, ``next_in_place`` advances a mutable sequence unchecked. One backward
+scan finds the rewrite point, one forward pass rewrites to the end, so a
+call touches each position at most twice and allocates no auxiliary
+sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import MutableSequence
 __all__ = [
     "BITS",
     "PARENS",
-    "DyckString",
     "SymbolPair",
     "first_violation",
     "is_dyck_text",
@@ -149,28 +150,3 @@ def next_string(text: str, symbols: SymbolPair = BITS) -> str | None:
     next_in_place(buffer, symbols)
     return "".join(buffer) if buffer else None
 
-
-@dataclass(frozen=True)
-class DyckString:
-    """A validated Dyck word in symbol form, carrying its own alphabet."""
-
-    text: str
-    symbols: SymbolPair = BITS
-
-    def __post_init__(self) -> None:
-        if not is_dyck_text(self.text, self.symbols):
-            raise ValueError(
-                f"{self.text!r} is not a Dyck word over "
-                f"{self.symbols.one!r}/{self.symbols.zero!r}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.text) // 2
-
-    def successor(self) -> DyckString | None:
-        """The next word over the same alphabet, or None at the maximum."""
-        advanced = next_string(self.text, self.symbols)
-        if advanced is None:
-            return None
-        return DyckString(advanced, self.symbols)

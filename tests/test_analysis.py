@@ -12,7 +12,6 @@ from dyckgen.analysis import (
     successor_from_decomposition,
 )
 from dyckgen.bits import DyckWord, next_word
-from dyckgen.strings import PARENS, DyckString
 
 
 @pytest.mark.parametrize(
@@ -29,7 +28,6 @@ def test_prefix_counts_examples(word, i, expected):
 
 def test_prefix_counts_accepts_all_word_kinds():
     assert prefix_counts(DyckWord(170, 4), 8) == (4, 4)
-    assert prefix_counts(DyckString("()((()))", PARENS), 3) == (2, 1)
     assert prefix_counts("10111000", 3) == (2, 1)
 
 

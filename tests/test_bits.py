@@ -166,6 +166,34 @@ def test_lookup_successor_equals_paper_form_on_any_64_bit_input(w):
     assert next_unchecked(w) == paper_next(w)
 
 
+def test_lookup_successor_equals_paper_form_on_every_run_shape():
+    """The two forms agree on every nonzero w below 2**64, by cases.
+
+    Let t be the count of trailing zeros of w and k the length of its
+    lowest run of ones, so k >= 1 and t + k <= 64. Then a = 2**t, the
+    carry of b = w + a clears that run and sets bit t + k, and
+    c = w ^ b is the run of k + 1 ones from bit t up: it depends on t
+    and k alone. Both forms return R | b, where the refill R is computed
+    from c alone (a is the lowest bit of c). With every bit of w above
+    t + k clear, b is 2**(t + k), so agreement there means the two
+    refills differ at most in bit t + k. Every b of the same (t, k) sets
+    that bit, so the forms agree on every w of that (t, k). The 2,080
+    pairs cover every nonzero w; each is also checked with every bit
+    above t + k + 1 set.
+    """
+    full = (1 << 64) - 1
+    cases = 0
+    for k in range(1, 65):
+        for t in range(65 - k):
+            low = ((1 << k) - 1) << t
+            high = low | (full >> (t + k + 1) << (t + k + 1))
+            for w in (low, high):
+                assert w ^ (w + (w & -w)) == ((2 << k) - 1) << t
+                assert next_unchecked(w) == paper_next(w), (t, k, w)
+                cases += 1
+    assert cases == 4160
+
+
 def test_successor_of_zero():
     assert next_unchecked(0) == 0
     with pytest.raises(ZeroDivisionError):

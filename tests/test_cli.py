@@ -1,8 +1,13 @@
 import errno
 import io
+import os
+import signal
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -208,6 +213,71 @@ def test_unknown_format_is_rejected(capsys):
     assert run_cli(["enum", "--n", "2", "--format", "weird"], capsys)[0] == 2
     assert run_cli(["enum", "--n", "2", "--format", "custom:aa"], capsys)[0] == 2
     assert run_cli(["enum", "--n", "2", "--format", "custom:abc"], capsys)[0] == 2
+    # Every character str.splitlines breaks on: a word must stay one line.
+    for breaker in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        for symbols in ("a" + breaker, breaker + "a"):
+            argv = ["enum", "--n", "2", "--format", f"custom:{symbols}"]
+            assert run_cli(argv, capsys)[:2] == (2, "")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def spawn(argv, env=None, preexec_fn=None):
+    """A ``python -m dyckgen.cli`` child with piped stdout and stderr."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "dyckgen.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})},
+        preexec_fn=preexec_fn,
+    )
+
+
+ENCODINGS = ["ascii", "latin-1", "utf-8", "utf-8:surrogateescape"]
+# ASCII, Latin-1 and Greek symbols, and two lone surrogates: the bytes
+# 0xff and 0xfe of a command line that is not UTF-8.
+SYMBOL_PAIRS = ["ab", "\u00e9\u00e8", "\u03b1\u03b2", "\udcff\udcfe"]
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("symbols", SYMBOL_PAIRS, ids=ascii)
+def test_symbols_stdout_cannot_encode_exit_2(encoding, symbols):
+    # An unencodable symbol is bad input: one error line, no output.
+    try:
+        symbols.encode(*encoding.split(":"))
+        expected = 0
+    except UnicodeEncodeError:
+        expected = 2
+    word = symbols * 2  # the smallest word of half-length 2
+    for argv in (["enum", "--n", "2"], ["next", word]):
+        argv += ["--format", f"custom:{symbols}"]
+        child = spawn(argv, env={"PYTHONIOENCODING": encoding})
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == expected, err
+        assert b"Traceback" not in err
+        if expected == 2:
+            assert out == b""
+            assert err.startswith(b"error:") and err.count(b"\n") == 1
+
+
+def test_sigint_exits_130_without_a_traceback():
+    # The child's SIGINT handler is Python's own even if this process
+    # ignores the signal.
+    reset = partial(signal.signal, signal.SIGINT, signal.SIG_DFL)
+    child = spawn(["enum", "--n", "20"], preexec_fn=reset)
+    try:
+        assert child.stdout.read(1)  # enum is running and writing
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 130
+        assert b"Traceback" not in err
+    finally:
+        if child.poll() is None:
+            child.kill()
+        child.wait()
+        child.stdout.close()
+        child.stderr.close()
 
 
 def test_next_word_too_wide_for_the_bit_core(capsys):
@@ -325,11 +395,13 @@ def exit_code(argv) -> int:
 WORDS = st.text() | st.text(st.characters(whitelist_categories=("Nd", "No")))
 
 
-@given(
-    command=st.sampled_from(["next", "validate"]),
-    word=WORDS,
-    fmt=st.sampled_from(FORMATS),
+# The named formats, plus custom: specs with any two characters.
+FORMAT_SPECS = st.sampled_from(FORMATS) | st.builds(
+    "custom:{}{}".format, st.characters(), st.characters()
 )
+
+
+@given(command=st.sampled_from(["next", "validate"]), word=WORDS, fmt=FORMAT_SPECS)
 def test_word_commands_end_with_a_contract_code(command, word, fmt):
     # Whatever the word, the CLI ends with a documented exit code and
     # never raises; --format int refuses anything but ASCII digits. A

@@ -35,6 +35,14 @@ def test_n4_count_and_extremes():
     assert words[-1] == 240
 
 
+def test_candidates_with_n_ones_match_the_full_scan():
+    # The full scan over all 2**(2n) values, kept here as the reference
+    # for the scan over the values with exactly n ones.
+    for n in range(1, 9):
+        full = [v for v in range(1 << (2 * n)) if _satisfies_definition(v, n)]
+        assert brute_force_all(n) == full
+
+
 def test_output_strictly_ascending(oracle_words):
     for n in range(1, 7):
         words = oracle_words(n)

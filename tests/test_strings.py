@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dyckgen.bits import DyckWord, enumerate_words, max_value, min_value
+from dyckgen.bits import DyckWord, enumerate_words, max_value, min_value, next_word
 from dyckgen.strings import (
     BITS,
     PARENS,
-    DyckString,
     SymbolPair,
     first_violation,
     is_dyck_text,
@@ -132,13 +131,11 @@ def test_symbol_codec_round_trip():
         SymbolPair("a", "b").decode("ab1b")
 
 
-def test_dyck_string_type():
-    word = DyckString("(())", PARENS)
-    assert word.n == 2
-    assert word.successor() is None
-    assert DyckString("()()", PARENS).successor() == word
+def test_next_string_over_parens():
+    assert next_string("(())", PARENS) is None
+    assert next_string("()()", PARENS) == "(())"
     with pytest.raises(ValueError):
-        DyckString("())(", PARENS)
+        next_string("())(", PARENS)
 
 
 def test_commutes_with_bit_successor(oracle_words):
@@ -235,9 +232,9 @@ def test_terminal_agreement_with_bits():
 def test_next_string_agrees_with_wrapped_word(n, data):
     word = data.draw(st.sampled_from(list(enumerate_words(n))))
     via_string = next_string(word.bits)
-    via_type = DyckString(word.bits).successor()
+    via_word = next_word(word)
     if via_string is None:
-        assert via_type is None
+        assert via_word is None
     else:
-        assert via_type == DyckString(via_string)
+        assert via_word.bits == via_string
         DyckWord.from_bits(via_string)  # the successor is itself valid
