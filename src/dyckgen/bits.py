@@ -14,7 +14,6 @@ a 2n-bit window.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
@@ -22,7 +21,6 @@ from typing import Iterator
 from .strings import first_violation
 
 __all__ = [
-    "ENUMERATION_WARN_N",
     "MAX_HALF_LENGTH",
     "DyckWord",
     "check_half_length",
@@ -38,7 +36,6 @@ __all__ = [
 ]
 
 MAX_HALF_LENGTH = 32
-ENUMERATION_WARN_N = 20  # Catalan(21) is ~24.5e9 words, hours of CPU
 
 
 def check_half_length(n: int) -> None:
@@ -128,7 +125,7 @@ class DyckWord:
         """
         problem = first_violation(text) if text else "empty window"
         if problem is not None:
-            raise ValueError(f"not a Dyck bit window {text!r}: {problem}")
+            raise ValueError(problem)
         n = len(text) // 2
         check_half_length(n)
         return cls._trusted(int(text, 2), n)
@@ -179,17 +176,8 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
 
     Starts at min_word(n), ends at max_word(n), and yields exactly
     Catalan(n) words: the values of ``walk_values(n)``, each wrapped in a
-    ``DyckWord``. Large sizes are permitted but warned about; a full pass
-    above n = 20 is impractical rather than wrong.
+    ``DyckWord``. Raises ValueError at once for n outside 1..32.
     """
-    check_half_length(n)
-    if n > ENUMERATION_WARN_N:
-        warnings.warn(
-            f"enumerating n={n} visits Catalan({n}) words, which is "
-            "billions and up; expect this to run practically forever",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return map(DyckWord._trusted, walk_values(n), repeat(n))
 
 
@@ -198,7 +186,7 @@ def walk_values(n: int) -> Iterator[int]:
 
     The allocation-light core of enumeration: plain ints, with the three
     statements of ``next_unchecked`` inlined. Raises ValueError at once
-    for n outside 1..32; never warns.
+    for n outside 1..32.
     """
     return _walk(min_value(n), max_value(n))
 

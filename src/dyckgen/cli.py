@@ -1,9 +1,11 @@
 """Command line surface: enumerate, advance, validate, count and render.
 
-Exit codes are part of the contract: 0 success, 1 "no result" (a maximal
-word for ``next``, an invalid word for ``validate``), 2 bad input or bad
-arguments (symbols stdout cannot encode included), 3 output I/O failure,
-130 interrupted by SIGINT (Ctrl-C).
+Each command is a thin call into the library; the library's checks are
+the only checks. Exit codes are part of the contract: 0 success, 1 "no
+result" (a maximal word for ``next``, an invalid word for ``validate``),
+2 bad arguments or any input the library refuses (symbols stdout cannot
+encode included), 3 output I/O failure, 130 interrupted by SIGINT
+(Ctrl-C). A refusal is one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,21 +16,17 @@ from itertools import islice
 from typing import Iterable
 
 from .analysis import catalan
-from .bits import (
-    ENUMERATION_WARN_N,
-    MAX_HALF_LENGTH,
-    max_value,
-    next_unchecked,
-    walk_values,
-)
+from .bits import DyckWord, next_word, walk_values
 from .oracle import brute_force_all
-from .paths import MAX_RENDER_N, render_grid
+from .paths import check_grid_size, render_grid
 from .strings import BITS, PARENS, SymbolPair, first_violation
 
 MAX_COUNT_N = 34  # documented cap so scripted callers fit results in 64 bits
+ENUMERATION_WARN_N = 20  # enum warns past Catalan(20), ~6.6e9 words
 CHUNK_WORDS = 4096  # lines formatted and written per stdout write
 
 PUBLIC_COMMANDS = "{enum,next,count,validate,render}"
+NAMED_FORMATS = {"bits": BITS, "parens": PARENS, "int": None}
 
 
 def parse_format(spec: str) -> SymbolPair | None:
@@ -36,23 +34,25 @@ def parse_format(spec: str) -> SymbolPair | None:
 
     A symbol format is its ``SymbolPair``; ``int`` is None. Symbols that
     break a line are refused, since every word must stay on one line.
+    Refusals are ``ArgumentTypeError`` so argparse shows their message.
     """
-    if spec == "bits":
-        return BITS
-    if spec == "parens":
-        return PARENS
-    if spec == "int":
-        return None
-    if spec.startswith("custom:"):
-        symbols = spec[len("custom:") :]
-        if len(symbols) != 2:
-            raise ValueError(
-                f"custom format needs exactly two symbols, got {symbols!r}"
-            )
-        if symbols.splitlines() != [symbols]:
-            raise ValueError(f"custom symbols must not break lines: {symbols!r}")
-        return SymbolPair(symbols[0], symbols[1])
-    raise ValueError(f"unknown format {spec!r}")
+    if spec in NAMED_FORMATS:
+        return NAMED_FORMATS[spec]
+    if not spec.startswith("custom:"):
+        raise argparse.ArgumentTypeError(f"unknown format {spec!r}")
+    symbols = spec[len("custom:") :]
+    if len(symbols) != 2:
+        raise argparse.ArgumentTypeError(
+            f"custom format needs exactly two symbols, got {symbols!r}"
+        )
+    if symbols.splitlines() != [symbols]:
+        raise argparse.ArgumentTypeError(
+            f"custom symbols must not break lines: {symbols!r}"
+        )
+    try:
+        return SymbolPair(*symbols)
+    except ValueError as exc:  # the same symbol twice
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def write_words(values: Iterable[int], fmt: SymbolPair | None) -> None:
@@ -75,31 +75,24 @@ def write_words(values: Iterable[int], fmt: SymbolPair | None) -> None:
         write(text if encode is None else encode(text))
 
 
-class WordParseError(ValueError):
-    """Input text does not even parse under the requested format."""
-
-
 def parse_window(text: str, fmt: SymbolPair | None) -> str:
     """Turn input text into an explicit '1'/'0' window.
 
-    Raises WordParseError when the text is not well formed under the
-    format: a foreign symbol, or for ``int`` anything but ASCII digits.
-    The window may still fail validation (odd length, prefix violations);
-    that is the caller's concern.
+    Raises ValueError when the text is not well formed under the format:
+    a foreign symbol, or for ``int`` anything but ASCII digits. The window
+    may still fail validation (odd length, prefix violations); that is the
+    caller's concern.
     """
     if not text:
-        raise WordParseError("empty word")
+        raise ValueError("empty word")
     if fmt is not None:
-        try:
-            return fmt.decode(text)
-        except ValueError as exc:
-            raise WordParseError(str(exc)) from None
+        return fmt.decode(text)
     if not (text.isascii() and text.isdigit()):
-        raise WordParseError(f"not an unsigned decimal integer: {text!r}")
+        raise ValueError(f"not an unsigned decimal integer: {text!r}")
     try:
         value = int(text)
     except ValueError:  # past the interpreter's digit limit for int()
-        raise WordParseError(f"integer too long: {len(text)} digits") from None
+        raise ValueError(f"integer too long: {len(text)} digits") from None
     # Minimal window: a valid word always has its top window bit set,
     # so any leading-zero reading would fail validation anyway.
     return format(value, "b") if value else "0"
@@ -111,8 +104,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= MAX_HALF_LENGTH:
-        return _fail(f"--n must be in 1..{MAX_HALF_LENGTH}, got {args.n}", 2)
+    values = walk_values(args.n)  # refuses n outside 1..32 before any output
     if args.limit is not None and args.limit < 0:
         return _fail(f"--limit must be nonnegative, got {args.limit}", 2)
     if args.n > ENUMERATION_WARN_N:  # below it, no request exceeds the bound
@@ -125,7 +117,6 @@ def cmd_enum(args: argparse.Namespace) -> int:
                 "expect this to run for hours or longer",
                 file=sys.stderr,
             )
-    values = walk_values(args.n)
     if args.limit is not None:
         values = islice(values, args.limit)
     write_words(values, args.format)
@@ -133,20 +124,10 @@ def cmd_enum(args: argparse.Namespace) -> int:
 
 
 def cmd_next(args: argparse.Namespace) -> int:
-    try:
-        window = parse_window(args.word, args.format)
-    except WordParseError as exc:
-        return _fail(str(exc), 2)
-    diagnostic = first_violation(window)
-    if diagnostic is not None:
-        return _fail(diagnostic, 2)
-    n = len(window) // 2
-    if n > MAX_HALF_LENGTH:
-        return _fail(f"word exceeds the 64-bit window (n={n})", 2)
-    value = int(window, 2)
-    if value == max_value(n):
+    word = next_word(DyckWord.from_bits(parse_window(args.word, args.format)))
+    if word is None:
         return 1  # maximal word: nothing to print, like the string clear
-    write_words([next_unchecked(value)], args.format)
+    write_words([word.value], args.format)
     return 0
 
 
@@ -158,16 +139,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        diagnostic = first_violation(parse_window(args.word, args.format))
-    except WordParseError as exc:
-        return _fail(str(exc), 2)
+    diagnostic = first_violation(parse_window(args.word, args.format))
     return 0 if diagnostic is None else _fail(diagnostic, 1)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= MAX_RENDER_N:
-        return _fail(f"--n must be in 1..{MAX_RENDER_N} for rendering", 2)
+    check_grid_size(args.n)  # before -o is opened: a refused size makes no file
     with open(args.output, "wb") as sink:
         render_grid(args.n, sink)
     print(catalan(args.n), file=sys.stderr)
@@ -176,11 +153,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     # Hidden debugging aid: the brute-force reference list.
-    try:
-        values = brute_force_all(args.n)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    write_words(values, args.format)
+    write_words(brute_force_all(args.n), args.format)
     return 0
 
 
@@ -258,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         return 130  # 128 + SIGINT, as a shell reports an interrupted job
     except UnicodeEncodeError as exc:  # symbol stdout cannot encode; first word fails
         return _fail(f"cannot write {target}: {exc}", 2)
+    except ValueError as exc:  # any input the library refuses
+        return _fail(str(exc), 2)
     except OSError as exc:  # a full disk, an unwritable -o path, ...
         return _fail(f"cannot write {target}: {exc}", 3)
 

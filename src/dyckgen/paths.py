@@ -13,7 +13,7 @@ from math import isqrt
 from typing import BinaryIO
 
 from .analysis import catalan
-from .bits import DyckWord, check_half_length, enumerate_words
+from .bits import DyckWord, enumerate_words
 from .strings import SymbolPair, first_violation
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "RIGHT",
     "UP",
     "LatticePath",
+    "check_grid_size",
     "from_path",
     "render_grid",
     "to_path",
@@ -78,6 +79,12 @@ def from_path(p: LatticePath) -> DyckWord:
     return DyckWord(int(MOVES.decode("".join(p.moves)), 2), p.n)
 
 
+def check_grid_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_RENDER_N, the sizes rendered."""
+    if not 1 <= n <= MAX_RENDER_N:
+        raise ValueError(f"grid size must be in 1..{MAX_RENDER_N}, got {n}")
+
+
 def render_grid(n: int, sink: BinaryIO) -> None:
     """Write one SVG document with a tile per Dyck word, in order.
 
@@ -85,13 +92,9 @@ def render_grid(n: int, sink: BinaryIO) -> None:
     10-unit gutters. Each tile flips the y axis so paths run from the
     lower left to the upper right, with the diagonal dashed. Output
     depends on n alone, so byte-level golden tests are possible.
+    Refuses n outside 1..MAX_RENDER_N with ValueError before any write.
     """
-    check_half_length(n)
-    if n > MAX_RENDER_N:
-        raise ValueError(
-            f"rendering is capped at n={MAX_RENDER_N} "
-            f"({catalan(MAX_RENDER_N)} tiles); got n={n}"
-        )
+    check_grid_size(n)
     count = catalan(n)
     cols = isqrt(count - 1) + 1
     rows = (count + cols - 1) // cols

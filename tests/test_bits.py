@@ -1,6 +1,5 @@
 import random
 import warnings
-from itertools import islice
 
 import pytest
 from hypothesis import example, given
@@ -201,11 +200,13 @@ def test_successor_of_zero():
 
 
 def test_walk_values_checks_at_the_call_and_never_warns():
-    with pytest.raises(ValueError):
-        walk_values(33)  # refused at the call, before any value is asked for
+    for walk in (walk_values, enumerate_words):
+        with pytest.raises(ValueError):
+            walk(33)  # refused at the call, before any value is asked for
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert next(walk_values(21)) == min_value(21)  # the int walk never warns
+        assert next(walk_values(21)) == min_value(21)  # neither walk warns
+        assert next(enumerate_words(21)).value == min_value(21)
 
 
 def test_next_word_examples():
@@ -275,15 +276,6 @@ def test_mask_covers_exactly_the_rewritten_tail(oracle_words):
             c = value ^ b
             c = ((c // a) >> 2) + 1
             assert c * c - 1 == (1 << (2 * x)) - 1
-
-
-def test_enumerate_warns_for_huge_sizes():
-    with pytest.warns(RuntimeWarning):
-        stream = enumerate_words(21)
-    assert next(iter(stream)).value == min_value(21)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        list(islice(enumerate_words(20), 3))  # at the threshold: no warning
 
 
 def test_dyck_word_validation():

@@ -14,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyckgen.analysis import catalan
-from dyckgen.bits import ENUMERATION_WARN_N, enumerate_words
-from dyckgen.cli import CHUNK_WORDS, main
+from dyckgen.bits import enumerate_words
+from dyckgen.cli import CHUNK_WORDS, ENUMERATION_WARN_N, main
 from dyckgen.oracle import brute_force_all
 
 
@@ -26,6 +26,15 @@ def run_cli(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(argv, capsys):
+    """stderr of a request the CLI must refuse on its one error path."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    return err
 
 
 def test_enum_bits(capsys):
@@ -55,10 +64,8 @@ def test_enum_limit_zero(capsys):
 
 @pytest.mark.parametrize("n", ["0", "33", "-2"])
 def test_enum_rejects_bad_sizes(n, capsys):
-    code, out, err = run_cli(["enum", "--n", n], capsys)
-    assert code == 2
-    assert out == ""
-    assert err != ""
+    err = refusal(["enum", "--n", n], capsys)
+    assert err == f"error: half-length must be in 1..32, got {n}\n"
 
 
 def test_enum_output_has_no_trailing_whitespace(capsys):
@@ -88,6 +95,8 @@ def test_next_rejects_garbage(capsys):
     assert run_cli(["next", "10x0"], capsys)[0] == 2
     assert run_cli(["next", "1001"], capsys)[0] == 2
     assert run_cli(["next", "", "--format", "int"], capsys)[0] == 2
+    err = refusal(["next", "())(", "--format", "parens"], capsys)
+    assert err == "error: prefix violation at position 3\n"  # no bit window shown
 
 
 def test_count(capsys):
@@ -162,8 +171,11 @@ def test_render_writes_svg(tmp_path, capsys):
 
 
 def test_render_guards_size(tmp_path, capsys):
-    code, _, _ = run_cli(["render", "--n", "9", "-o", str(tmp_path / "x.svg")], capsys)
-    assert code == 2
+    target = tmp_path / "x.svg"
+    for n in ("0", "9"):
+        err = refusal(["render", "--n", n, "-o", str(target)], capsys)
+        assert err == f"error: grid size must be in 1..8, got {n}\n"
+        assert not target.exists()  # refused before the output is opened
 
 
 def test_render_io_failure(tmp_path, capsys):
@@ -206,7 +218,7 @@ def test_oracle_subcommand_is_hidden(capsys):
 
 
 def test_oracle_subcommand_rejects_large_n(capsys):
-    assert run_cli(["oracle", "--n", "13"], capsys)[0] == 2
+    refusal(["oracle", "--n", "13"], capsys)
 
 
 def test_unknown_format_is_rejected(capsys):
@@ -220,6 +232,17 @@ def test_unknown_format_is_rejected(capsys):
             assert run_cli(argv, capsys)[:2] == (2, "")
 
 
+def test_format_refusals_name_the_fault(capsys):
+    # argparse shows the parser's own message, not a generic "invalid value".
+    for spec, fault in (
+        ("custom:abc", "custom format needs exactly two symbols"),
+        ("custom:a\n", "must not break lines"),
+        ("weird", "unknown format"),
+        ("custom:aa", "symbols must be distinct"),
+    ):
+        code, out, err = run_cli(["enum", "--n", "2", "--format", spec], capsys)
+        assert (code, out) == (2, "")
+        assert fault in err
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -282,7 +305,8 @@ def test_sigint_exits_130_without_a_traceback():
 
 def test_next_word_too_wide_for_the_bit_core(capsys):
     wide = "10" * 33  # valid Dyck text, but 66 bits
-    assert run_cli(["next", wide], capsys)[0] == 2
+    err = refusal(["next", wide], capsys)
+    assert err == "error: half-length must be in 1..32, got 33\n"
 
 
 def test_enum_then_next_round_trip(capsys):

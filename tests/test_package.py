@@ -6,7 +6,6 @@ SURFACE = [
     "BITS",
     "Decomposition",
     "DyckWord",
-    "ENUMERATION_WARN_N",
     "LatticePath",
     "MAX_HALF_LENGTH",
     "MAX_RENDER_N",
@@ -18,6 +17,7 @@ SURFACE = [
     "brute_force_all",
     "brute_force_next",
     "catalan",
+    "check_grid_size",
     "check_half_length",
     "decompose",
     "enumerate_words",
